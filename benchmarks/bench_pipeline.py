@@ -19,7 +19,7 @@ Predicted tuples stay byte-identical throughout (pinned by
 Besides the per-module pipeline record, this file tracks the unified query
 engine's workloads: the LSH-backed 10k mutual merge (native kernel vs the
 ``REPRO_NATIVE=0`` numpy path, digests asserted identical), the
-persistent-vs-fresh process-pool merge+prune comparison, and the
+pickle-vs-shared-memory process-pool merge+prune comparison, and the
 LSH / HNSW / brute-force backend timing matrix — all appended to
 ``BENCH_pipeline.json``.
 
@@ -191,66 +191,6 @@ def _pool_bench_tables(num_tables: int, rows: int) -> tuple[list, EmbeddingStore
             TableEmbeddings(name, [EntityRef(name, i) for i in range(rows)], vectors)
         )
     return tables, store
-
-
-def run_process_pool_bench(num_tables: int = 8, rows: int = 1200, repeats: int = 3) -> dict:
-    """Process-backend merge+prune: persistent pool vs fresh pool per call.
-
-    ``reuse_pool=False`` restores the historical spin-up-per-``map``
-    behaviour; the persistent pool keeps workers (and their warmed kernels
-    and index caches) alive across every hierarchy level and the pruning
-    fan-out. Outputs are asserted identical to the serial run either way.
-    """
-    tables, store = _pool_bench_tables(num_tables, rows)
-    merging = MergingConfig(index="hnsw", m=0.5)
-    pruning = PruningConfig(epsilon=1.0)
-
-    def run(reuse_pool: bool):
-        executor = ParallelExecutor(
-            ParallelConfig(enabled=True, backend="process", max_workers=2, reuse_pool=reuse_pool)
-        )
-        try:
-            best = None
-            outputs = None
-            for _ in range(max(repeats, 1)):
-                started = time.perf_counter()
-                merged, _ = hierarchical_merge_tables(
-                    [table for table in tables], merging, executor=executor
-                )
-                pruned = prune_items(
-                    merged.filter(merged.sizes >= 2).to_items(), store, pruning,
-                    executor=executor,
-                )
-                elapsed = time.perf_counter() - started
-                if best is None or elapsed < best:
-                    best, outputs = elapsed, (merged, pruned)
-            return best, outputs
-        finally:
-            executor.close()
-
-    fresh_seconds, fresh_outputs = run(False)
-    reuse_seconds, reuse_outputs = run(True)
-    serial_merged, _ = hierarchical_merge_tables([table for table in tables], merging)
-    serial_pruned = prune_items(
-        serial_merged.filter(serial_merged.sizes >= 2).to_items(), store, pruning
-    )
-    for merged, pruned in (fresh_outputs, reuse_outputs):
-        assert np.array_equal(merged.vectors, serial_merged.vectors)
-        assert np.array_equal(merged.member_offsets, serial_merged.member_offsets)
-        assert [item.members for item in pruned] == [item.members for item in serial_pruned]
-    return {
-        "dataset": f"process-pool-{num_tables}x{rows}",
-        "profile": "tiny" if rows < 1000 else "bench",
-        "backend": "process",
-        "kind": "process_pool_merge_prune",
-        "rows": num_tables * rows,
-        "repeats": max(repeats, 1),
-        "pruned_tuples": len(serial_pruned),
-        "seconds_fresh_pool": round(fresh_seconds, 4),
-        "seconds_persistent_pool": round(reuse_seconds, 4),
-        "pool_reuse_speedup": round(fresh_seconds / max(reuse_seconds, 1e-9), 2),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
 
 
 def run_shm_pool_bench(num_tables: int = 8, rows: int = 1200, repeats: int = 3) -> dict:
@@ -517,22 +457,18 @@ print(json.dumps({{"seconds": best, "variant": native.kernel_variant(), "digest"
 def run_kernel_rerank_bench(
     dataset_name: str = "music-200", profile: str = "tiny", repeats: int = 3, segment: int = 64
 ) -> dict:
-    """Short-segment re-rank per kernel variant, plus the threaded-build timing.
+    """Short-segment re-rank per kernel variant.
 
     Times the same CSR re-rank workload (real ``dataset_name`` embeddings,
     ``segment``-row candidate lists — the shape the SIMD micro-kernels serve)
     in three subprocess legs: the ``REPRO_NATIVE=0`` numpy engine, the scalar
     C variant, and the AVX2 variant where the CPU supports it. Output digests
     are asserted identical across all legs — the variants are alternative
-    implementations, never alternative results. The record also carries an
-    HNSW build timing at ``kernel_threads`` 1 vs 2 with the graphs asserted
-    byte-identical; on a single-core box the threaded number measures
-    speculation overhead, not speedup (see ``threads_caveat``).
+    implementations, never alternative results.
     """
     import tempfile
 
     from repro.ann import native as native_mod
-    from repro.ann.hnsw import HNSWIndex
     from repro.ann.native import _cpu_supports_avx2
 
     vectors = _encode_dataset_vectors(dataset_name, profile)
@@ -568,26 +504,6 @@ def run_kernel_rerank_bench(
             else:
                 assert avx2_leg["digest"] == python_leg["digest"], "AVX2 re-rank diverged"
 
-    # Threaded build: byte-identity asserted here, wall-clock recorded.
-    def time_build(threads: int) -> tuple[float, bytes]:
-        best = None
-        state = None
-        for _ in range(max(repeats, 1)):
-            started = time.perf_counter()
-            index = HNSWIndex("cosine", seed=0, kernel_threads=threads).build(vectors)
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-            n = len(index._node_levels)
-            state = b"".join(
-                index._layer_neighbors[layer][:n].tobytes()
-                for layer in range(len(index._layer_neighbors))
-            )
-        return best, state
-
-    build_1, graph_1 = time_build(1)
-    build_2, graph_2 = time_build(2)
-    assert graph_1 == graph_2, "threaded build graph diverged"
     return {
         "dataset": dataset_name,
         "profile": profile,
@@ -603,70 +519,6 @@ def run_kernel_rerank_bench(
         "seconds_rerank_scalar": round(scalar_leg["seconds"], 4),
         "seconds_rerank_avx2": None if avx2_leg is None else round(avx2_leg["seconds"], 4),
         "rerank_digest": python_leg["digest"],
-        "seconds_build_threads_1": round(build_1, 4),
-        "seconds_build_threads_2": round(build_2, 4),
-        "threads_caveat": (
-            "single-core bench box: kernel_threads=2 measures speculation overhead, "
-            "not speedup; graphs asserted byte-identical"
-        ),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
-def run_quantized_scan_bench(
-    dataset_name: str = "music-200", profile: str = "tiny", repeats: int = 3, k: int = 5
-) -> dict:
-    """Opt-in int8 coarse scan + exact re-rank vs the dense exact scan.
-
-    Both paths answer the same top-``k`` queries over real ``dataset_name``
-    embeddings (best of N each); neighbour ids are asserted identical
-    (recall == 1 on this workload) with distances matching to float32
-    round-off. The quantized path is never a default — this record tracks
-    what the opt-in buys.
-    """
-    from repro.ann import native as native_mod
-    from repro.ann.brute_force import BruteForceIndex
-
-    vectors = _encode_dataset_vectors(dataset_name, profile)
-    rng = np.random.default_rng(42)
-    num_queries = min(2000, vectors.shape[0])
-    queries = vectors[:num_queries] + rng.normal(
-        scale=0.01, size=(num_queries, vectors.shape[1])
-    ).astype(np.float32)
-
-    exact = BruteForceIndex("cosine").build(vectors)
-    quantized = BruteForceIndex("cosine", quantized_scan=True).build(vectors)
-
-    def best_of(index) -> tuple[float, tuple]:
-        best = None
-        result = None
-        for _ in range(max(repeats, 1)):
-            started = time.perf_counter()
-            result = index.query(queries, k)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        return best, result
-
-    exact_seconds, (exact_idx, exact_dist) = best_of(exact)
-    quant_seconds, (quant_idx, quant_dist) = best_of(quantized)
-    assert np.array_equal(exact_idx, quant_idx), "quantized scan recall < 1"
-    assert np.allclose(exact_dist, quant_dist, rtol=1e-6, atol=1e-6)
-    return {
-        "dataset": dataset_name,
-        "profile": profile,
-        "backend": "brute-force-quantized",
-        "kind": "quantized_scan",
-        "rows": int(vectors.shape[0]),
-        "dim": int(vectors.shape[1]),
-        "num_queries": num_queries,
-        "k": k,
-        "repeats": max(repeats, 1),
-        "native_enabled": native_mod.get_kernel() is not None,
-        "recall_vs_exact": 1.0,
-        "seconds_exact_scan": round(exact_seconds, 4),
-        "seconds_quantized_scan": round(quant_seconds, 4),
-        "quantized_speedup": round(exact_seconds / max(quant_seconds, 1e-9), 2),
-        "note": "opt-in only (quantized_scan=True); single-core bench box",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 
@@ -922,22 +774,6 @@ def test_bench_lsh_mutual_merge(bench_profile):
     assert record["mutual_pairs"] > 0
 
 
-def test_bench_process_pool_reuse(bench_profile):
-    """Persistent process pool vs the historical fresh-pool-per-call mode."""
-    rows = 400 if bench_profile == "tiny" else 1200
-    tables = 6 if bench_profile == "tiny" else 8
-    record = run_process_pool_bench(
-        num_tables=tables, rows=rows, repeats=3 if bench_profile != "tiny" else 1
-    )
-    write_bench_record(record)
-    print(
-        f"\n  process merge+prune over {tables}x{rows} rows: "
-        f"fresh pools {record['seconds_fresh_pool']:.2f}s vs persistent "
-        f"{record['seconds_persistent_pool']:.2f}s ({record['pool_reuse_speedup']:.2f}x)"
-    )
-    assert record["seconds_persistent_pool"] > 0
-
-
 def test_bench_shm_pool_dispatch(bench_profile):
     """Pickle vs shared-memory process dispatch for merge+prune (best of N)."""
     rows = 400 if bench_profile == "tiny" else 1200
@@ -1013,7 +849,7 @@ def test_bench_lsh_dedup(bench_profile):
 
 
 def test_bench_kernel_rerank(bench_profile):
-    """Per-variant short-segment re-rank + threaded HNSW build timings."""
+    """Per-variant short-segment re-rank timings."""
     import shutil
 
     if shutil.which(os.environ.get("CC", "gcc")) is None:
@@ -1027,25 +863,9 @@ def test_bench_kernel_rerank(bench_profile):
     print(
         f"\n  rerank over {record['rows']}x{record['dim']} (seg {record['segment']}): "
         f"python {record['seconds_rerank_python']*1e3:.1f}ms, "
-        f"scalar {record['seconds_rerank_scalar']*1e3:.1f}ms{avx2_part}; "
-        f"build 1t {record['seconds_build_threads_1']:.2f}s vs "
-        f"2t {record['seconds_build_threads_2']:.2f}s (single-core box)"
+        f"scalar {record['seconds_rerank_scalar']*1e3:.1f}ms{avx2_part}"
     )
     assert record["seconds_rerank_scalar"] > 0
-
-
-def test_bench_quantized_scan(bench_profile):
-    """Opt-in quantized coarse scan vs the dense exact scan (recall == 1)."""
-    record = run_quantized_scan_bench("music-200", bench_profile, repeats=3)
-    write_bench_record(record)
-    print(
-        f"\n  quantized scan over {record['rows']}x{record['dim']} "
-        f"({record['num_queries']} queries, k={record['k']}): exact "
-        f"{record['seconds_exact_scan']:.3f}s vs quantized "
-        f"{record['seconds_quantized_scan']:.3f}s "
-        f"({record['quantized_speedup']:.2f}x, recall 1.0)"
-    )
-    assert record["recall_vs_exact"] == 1.0
 
 
 def test_bench_sharded_merge(bench_profile):

@@ -323,30 +323,43 @@ from repro.ann import native
 rng = np.random.default_rng(7)
 vectors = rng.standard_normal((250, 36)).astype(np.float32)
 queries = rng.standard_normal((25, 36)).astype(np.float32)
-index = HNSWIndex(seed=4, kernel_threads={threads}).build(vectors[:180])
+index = HNSWIndex(seed=4).build(vectors[:180])
 index.extend(vectors[180:])
+# Queries near the entry point keep their entry distance through the
+# descent, so a batch-dependent entry distance would surface in the answers.
+near = vectors[index._entry_point] + 0.3 * rng.standard_normal((24, 36)).astype(np.float32)
+queries = np.concatenate([queries, near])
 idx, dist = index.query(queries, 4)
+singles = [index.query(queries[row : row + 1], 4) for row in range(len(queries))]
+single_idx = np.concatenate([pair[0] for pair in singles])
+single_dist = np.concatenate([pair[1] for pair in singles])
 digest = hashlib.blake2b(digest_size=16)
 for layer in range(len(index._layer_neighbors)):
     digest.update(index._layer_neighbors[layer][:250].tobytes())
     digest.update(index._layer_dists[layer][:250].tobytes())
 digest.update(idx.tobytes())
 digest.update(dist.tobytes())
+digest.update(single_idx.tobytes())
+digest.update(single_dist.tobytes())
 print("VARIANT", native.kernel_variant())
+print("BATCH_INVARIANT", single_idx.tobytes() == idx.tobytes() and single_dist.tobytes() == dist.tobytes())
 print("DIGEST", digest.hexdigest())
 """
 
 
 @pytest.mark.smoke
 def test_smoke_kernel_compile_matrix():
-    """One graph digest across every kernel tier: off / scalar / AVX2 / threaded.
+    """One graph digest across every kernel tier: off / scalar / AVX2.
 
     Each leg runs in a subprocess with its own ``REPRO_NATIVE`` /
     ``REPRO_NATIVE_VARIANT`` environment, builds + extends + queries the same
-    HNSW index, and prints a digest over the full graph and query output. All
-    legs must agree byte-for-byte — the kernel tiers are alternative
-    *implementations*, never alternative *results*. Legs the environment
-    can't provide (no compiler, no AVX2 CPU) are skipped with the reason.
+    HNSW index, and prints a digest over the full graph, the batched query
+    output and the same rows queried one at a time. Within a leg every
+    single-row answer must equal its row of the batch (HNSW queries are
+    batch-invariant); across legs the digests must agree byte-for-byte — the
+    kernel tiers are alternative *implementations*, never alternative
+    *results*. Legs the environment can't provide (no compiler, no AVX2 CPU)
+    are skipped with the reason.
     """
     src_root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     base_env = {**os.environ}
@@ -354,16 +367,15 @@ def test_smoke_kernel_compile_matrix():
     base_env.pop("REPRO_NATIVE", None)
     base_env.pop("REPRO_NATIVE_VARIANT", None)
 
-    legs = [("python-fallback", {"REPRO_NATIVE": "0"}, 1)]
+    legs = [("python-fallback", {"REPRO_NATIVE": "0"})]
     have_compiler = shutil.which(os.environ.get("CC", "gcc")) is not None
     native_disabled = os.environ.get("REPRO_NATIVE", "").lower() in ("0", "off", "false")
     if have_compiler and not native_disabled:
-        legs.append(("native-scalar", {"REPRO_NATIVE_VARIANT": "scalar"}, 1))
-        legs.append(("native-threads-2", {"REPRO_NATIVE_VARIANT": "scalar"}, 2))
+        legs.append(("native-scalar", {"REPRO_NATIVE_VARIANT": "scalar"}))
         from repro.ann.native import _cpu_supports_avx2
 
         if _cpu_supports_avx2():
-            legs.append(("native-avx2", {"REPRO_NATIVE_VARIANT": "avx2"}, 1))
+            legs.append(("native-avx2", {"REPRO_NATIVE_VARIANT": "avx2"}))
         else:
             print("\n  skipping native-avx2 leg: CPU lacks AVX2+FMA3")
     else:
@@ -371,15 +383,16 @@ def test_smoke_kernel_compile_matrix():
         pytest.skip(f"only the python-fallback leg is runnable here: {reason}")
 
     digests: dict[str, str] = {}
-    for name, extra_env, threads in legs:
+    for name, extra_env in legs:
         env = {**base_env, **extra_env}
         completed = subprocess.run(
-            [sys.executable, "-c", _MATRIX_SNIPPET.format(threads=threads)],
+            [sys.executable, "-c", _MATRIX_SNIPPET],
             capture_output=True,
             text=True,
             env=env,
         )
         assert completed.returncode == 0, f"{name} leg failed:\n{completed.stderr[-2000:]}"
+        assert "BATCH_INVARIANT True" in completed.stdout, f"{name} leg is batch-variant"
         digests[name] = completed.stdout.strip().splitlines()[-1]
         if name == "native-scalar":
             assert "VARIANT scalar" in completed.stdout

@@ -56,20 +56,10 @@ against the numpy reference before it serves):
    ``auto`` (default) | ``scalar`` | ``avx2`` pins the choice. Compiled
    variants are cached keyed on (source digest, flags, CPU features).
 
-Two orthogonal, explicitly-opted knobs ride on the native kernel:
-
-* ``kernel_threads`` (``MergingConfig`` / ``ParallelConfig``, default 1) —
-  the HNSW build speculates candidate searches on a pthread pool and
-  commits them in insertion order, validating each speculation's read set;
-  the graph is byte-identical at any thread count, so the knob is
-  *content-neutral*: excluded from index-cache keys and never persisted in
-  snapshots.
-* ``quantized_scan`` (``MergingConfig``, default off, **opt-in only**) —
-  the brute-force backend scores an int8-quantized copy of the corpus
-  first, over-fetches coarse candidates, then re-ranks them exactly in
-  float32. Neighbour ids match the dense exact scan (recall == 1 on the
-  pinned tests); distances may differ in the last float32 bit, which is
-  why the knob is never a default and *is* part of the cache key.
+Every tier builds HNSW graphs sequentially, one insert at a time, and
+answers each HNSW query row with its own traversal — the entry-point
+distance included — so a row's answer is the same alone or at any position
+in any batch (``HNSWIndex.batch_invariant``).
 
 Index reuse
 -----------

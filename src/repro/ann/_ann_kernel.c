@@ -30,33 +30,15 @@
  * query + re-rank byte-comparison against the pure-Python paths) and refuses
  * to enable the kernel otherwise; `tests/ann/` re-checks it on every run.
  *
- * Escalations (same contract):
- *
- *  - Threaded build (`num_threads >= 2`): inserts are processed in fixed
- *    rounds.  Worker threads *speculate* the full multi-layer candidate
- *    search for every node of a round against the round-start graph
- *    (read-only, logging every (layer, row) adjacency read), then the main
- *    thread commits nodes strictly in insertion order: a speculation is
- *    applied only if no row it read was modified by an earlier commit of the
- *    same round (per-row modification stamps) and the entry point / max
- *    level are unchanged — otherwise the node is re-inserted inline,
- *    sequentially.  Either way the committed operation sequence is exactly
- *    the single-threaded one, so the built graph is byte-identical at any
- *    thread count.
- *  - ANN_VARIANT_AVX2: compiled as a second shared object with
- *    `-mavx2 -mfma -ffp-contract=off`; the short-segment sgemv/sdot BLAS
- *    calls are replaced by micro-kernels replicating the exact FMA and
- *    reduction order of OpenBLAS's SkylakeX kernels (bit-equal, gated by
- *    the load-time self-test; shapes outside the verified envelope fall
- *    through to the BLAS function pointers).
- *  - `ann_quantized_scan`: opt-in int8 coarse candidate scan (symmetric
- *    per-block quantization, exact int32 dot products) whose survivors are
- *    re-ranked through the exact float32 path.  Never a default — the
- *    Python side asserts recall == 1 vs the exact scan in its test suite.
+ * ANN_VARIANT_AVX2 (same contract): compiled as a second shared object with
+ * `-mavx2 -mfma -ffp-contract=off`; the short-segment sgemv/sdot BLAS calls
+ * are replaced by micro-kernels replicating the exact FMA and reduction order
+ * of OpenBLAS's SkylakeX kernels (bit-equal, gated by the load-time
+ * self-test; shapes outside the verified envelope fall through to the BLAS
+ * function pointers).
  */
 
 #include <math.h>
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -398,35 +380,6 @@ static void row_distances(const graph_t *g, const float *query, float query_sq,
 
 /* ------------------------------------------------------------- traversal */
 
-/* Read log for the speculative threaded build: every (layer, row) whose
- * adjacency row (neighbors + degree) a traversal reads.  NULL disables
- * logging (queries and the sequential build pass NULL).  Overflow past the
- * fixed capacity just marks the speculation invalid — the node is then
- * re-inserted sequentially, so correctness never depends on the cap. */
-#define SPEC_READ_CAP 4096
-
-typedef struct {
-    int64_t row;
-    int32_t layer;
-} read_ref_t;
-
-typedef struct {
-    read_ref_t *refs;
-    int64_t count;
-    int overflow;
-} read_log_t;
-
-static inline void log_read(read_log_t *log, int layer, int64_t row) {
-    if (!log) return;
-    if (log->count >= SPEC_READ_CAP) {
-        log->overflow = 1;
-        return;
-    }
-    log->refs[log->count].row = row;
-    log->refs[log->count].layer = (int32_t)layer;
-    log->count += 1;
-}
-
 typedef struct {
     item_t *cand;    /* min-heap scratch */
     item_t *result;  /* max-heap scratch */
@@ -439,7 +392,7 @@ typedef struct {
 
 static int64_t search_layer(const graph_t *g, const float *query, float query_sq,
                             const item_t *entries, int64_t num_entries, int64_t ef,
-                            int layer, int64_t epoch, scratch_t *s, read_log_t *log) {
+                            int layer, int64_t epoch, scratch_t *s) {
     const int64_t cap = g->caps[layer];
     const int64_t *neighbors_table = g->neighbors[layer];
     const float *dists_table = (const float *)g->dists[layer];
@@ -457,7 +410,6 @@ static int64_t search_layer(const graph_t *g, const float *query, float query_sq
         item_t current = minheap_pop(s->cand, &cand_size);
         float worst = res_size > 0 ? s->result[0].dist : INFINITY;
         if (current.dist > worst && res_size >= ef) break;
-        log_read(log, layer, current.node);
         int64_t degree = degrees[current.node];
         if (degree == 0) continue;
         const int64_t *row = neighbors_table + current.node * cap;
@@ -491,7 +443,7 @@ static int64_t search_layer(const graph_t *g, const float *query, float query_sq
 
 static void greedy_descent(const graph_t *g, const float *query, float query_sq,
                            int64_t *entry, float *entry_dist, int64_t top,
-                           int64_t bottom, scratch_t *s, read_log_t *log) {
+                           int64_t bottom, scratch_t *s) {
     for (int64_t layer = top; layer > bottom; layer--) {
         const int64_t cap = g->caps[layer];
         const int64_t *neighbors_table = g->neighbors[layer];
@@ -499,7 +451,6 @@ static void greedy_descent(const graph_t *g, const float *query, float query_sq,
         int changed = 1;
         while (changed) {
             changed = 0;
-            log_read(log, (int)layer, *entry);
             int64_t degree = degrees[*entry];
             if (degree == 0) break;
             const int64_t *row = neighbors_table + *entry * cap;
@@ -610,45 +561,31 @@ static scratch_t *scratch_alloc(int64_t n_total, int64_t ef, int64_t cap_max, in
     return s;
 }
 
-/* Per-(layer, row) modification stamps + a monotone version counter; the
- * threaded build stamps every row a commit touches so later speculations of
- * the same round can be validated against their read logs. */
-typedef struct {
-    int64_t **stamps; /* per layer: (n_total,) last-modified version */
-    int64_t *version;
-} modlog_t;
-
-/* One full sequential insert — exactly the loop body the single-threaded
- * build has always run.  `mods` (optional) records the rows it modifies. */
+/* One full insert: greedy descent to the node's level, then a best-first
+ * search and connect on every layer from there down to 0. */
 static void insert_node(graph_t *g, int64_t node, int64_t level, const float *query,
                         float query_sq, int64_t ef_construction, scratch_t *s,
                         item_t *selected, item_t *entry_points, int64_t *idx_buf,
                         int64_t *node_buf, float *dist_buf, int64_t *entry,
-                        int64_t *max_level, int64_t *epoch, modlog_t *mods) {
+                        int64_t *max_level, int64_t *epoch) {
     int64_t current = *entry;
     float current_dist;
     row_distances(g, query, query_sq, &current, 1, s->gather, &current_dist);
-    greedy_descent(g, query, query_sq, &current, &current_dist, *max_level, level, s, 0);
+    greedy_descent(g, query, query_sq, &current, &current_dist, *max_level, level, s);
     int64_t num_entry = 1;
     entry_points[0].dist = current_dist;
     entry_points[0].node = current;
     int64_t top = level < *max_level ? level : *max_level;
-    if (mods) *mods->version += 1;
     for (int64_t layer = top; layer >= 0; layer--) {
         *epoch += 1;
         int64_t num_found = search_layer(g, query, query_sq, entry_points, num_entry,
-                                         ef_construction, (int)layer, *epoch, s, 0);
+                                         ef_construction, (int)layer, *epoch, s);
         int64_t m = layer == 0 ? g->max_degree * 2 : g->max_degree;
         int64_t num_selected = num_found < m ? num_found : m;
         memcpy(selected, s->found, (size_t)num_found * sizeof(item_t));
         qsort(selected, (size_t)num_found, sizeof(item_t), cmp_items_asc);
         connect(g, node, selected, num_selected, (int)layer, m, idx_buf, node_buf,
                 dist_buf);
-        if (mods) {
-            mods->stamps[layer][node] = *mods->version;
-            for (int64_t i = 0; i < num_selected; i++)
-                mods->stamps[layer][selected[i].node] = *mods->version;
-        }
         memcpy(entry_points, s->found, (size_t)num_found * sizeof(item_t));
         num_entry = num_found;
     }
@@ -658,316 +595,14 @@ static void insert_node(graph_t *g, int64_t node, int64_t level, const float *qu
     }
 }
 
-/* ---------------------------------------------------- threaded build */
-
-#define BUILD_MAX_THREADS 64
-
-/* Buffered speculation for one node: the per-layer candidate sets its
- * search produced against the round-start graph, plus the read log the
- * commit phase validates them with. */
-typedef struct {
-    int64_t node;
-    int valid;
-    int64_t num_reads;
-    int64_t *counts; /* (num_layers,) found count per layer */
-    item_t *found;   /* (num_layers, found_stride) found sets per layer */
-    read_ref_t reads[SPEC_READ_CAP];
-} spec_t;
-
-typedef struct {
-    pthread_mutex_t mutex;
-    pthread_cond_t cond_start;
-    pthread_cond_t cond_done;
-    int64_t round_id;
-    int64_t window_count;
-    int num_workers;
-    int workers_done;
-    int shutdown;
-    /* round-start graph snapshot the speculations run against */
-    int64_t round_entry;
-    int64_t round_max_level;
-    const graph_t *g;
-    const int64_t *levels;
-    int64_t start;
-    const float *prepared_queries;
-    const float *query_sqs;
-    int64_t ef_construction;
-    int64_t found_stride;
-    spec_t *specs;
-} build_shared_t;
-
-typedef struct {
-    build_shared_t *shared;
-    int worker_id;
-    scratch_t *scratch;
-    item_t *entry_points;
-    int64_t epoch;
-    pthread_t thread;
-    int started;
-} worker_ctx_t;
-
-static void speculate_node(build_shared_t *sh, spec_t *spec, worker_ctx_t *w) {
-    const graph_t *g = sh->g;
-    int64_t node = spec->node;
-    int64_t level = sh->levels[node];
-    const float *query = sh->prepared_queries + (node - sh->start) * g->d;
-    float query_sq = sh->query_sqs[node - sh->start];
-    read_log_t log = {spec->reads, 0, 0};
-    int64_t current = sh->round_entry;
-    float current_dist;
-    row_distances(g, query, query_sq, &current, 1, w->scratch->gather, &current_dist);
-    greedy_descent(g, query, query_sq, &current, &current_dist, sh->round_max_level,
-                   level, w->scratch, &log);
-    int64_t num_entry = 1;
-    w->entry_points[0].dist = current_dist;
-    w->entry_points[0].node = current;
-    int64_t top = level < sh->round_max_level ? level : sh->round_max_level;
-    for (int64_t layer = top; layer >= 0; layer--) {
-        w->epoch += 1;
-        int64_t num_found = search_layer(g, query, query_sq, w->entry_points, num_entry,
-                                         sh->ef_construction, (int)layer, w->epoch,
-                                         w->scratch, &log);
-        spec->counts[layer] = num_found;
-        memcpy(spec->found + layer * sh->found_stride, w->scratch->found,
-               (size_t)num_found * sizeof(item_t));
-        memcpy(w->entry_points, w->scratch->found, (size_t)num_found * sizeof(item_t));
-        num_entry = num_found;
-    }
-    spec->num_reads = log.count;
-    spec->valid = !log.overflow;
-}
-
-static void *build_worker(void *arg) {
-    worker_ctx_t *w = (worker_ctx_t *)arg;
-    build_shared_t *sh = w->shared;
-    int64_t last_round = 0;
-    pthread_mutex_lock(&sh->mutex);
-    for (;;) {
-        while (sh->round_id == last_round && !sh->shutdown)
-            pthread_cond_wait(&sh->cond_start, &sh->mutex);
-        if (sh->shutdown) break;
-        last_round = sh->round_id;
-        int64_t window_count = sh->window_count;
-        pthread_mutex_unlock(&sh->mutex);
-        for (int64_t pos = w->worker_id; pos < window_count; pos += sh->num_workers)
-            speculate_node(sh, &sh->specs[pos], w);
-        pthread_mutex_lock(&sh->mutex);
-        sh->workers_done += 1;
-        if (sh->workers_done == sh->num_workers) pthread_cond_signal(&sh->cond_done);
-    }
-    pthread_mutex_unlock(&sh->mutex);
-    return 0;
-}
-
-/* Apply a validated speculation: the identical connect sequence the
- * sequential insert would have performed at this point. */
-static void commit_spec(graph_t *g, int64_t node, int64_t level, const spec_t *spec,
-                        int64_t found_stride, int64_t ef_construction, item_t *selected,
-                        int64_t *idx_buf, int64_t *node_buf, float *dist_buf,
-                        int64_t *entry, int64_t *max_level, int64_t *epoch,
-                        modlog_t *mods) {
-    int64_t top = level < *max_level ? level : *max_level;
-    *mods->version += 1;
-    (void)ef_construction;
-    for (int64_t layer = top; layer >= 0; layer--) {
-        *epoch += 1; /* keep the sequential-fallback epochs monotone */
-        int64_t num_found = spec->counts[layer];
-        int64_t m = layer == 0 ? g->max_degree * 2 : g->max_degree;
-        int64_t num_selected = num_found < m ? num_found : m;
-        memcpy(selected, spec->found + layer * found_stride,
-               (size_t)num_found * sizeof(item_t));
-        qsort(selected, (size_t)num_found, sizeof(item_t), cmp_items_asc);
-        connect(g, node, selected, num_selected, (int)layer, m, idx_buf, node_buf,
-                dist_buf);
-        mods->stamps[layer][node] = *mods->version;
-        for (int64_t i = 0; i < num_selected; i++)
-            mods->stamps[layer][selected[i].node] = *mods->version;
-    }
-    if (level > *max_level) {
-        *max_level = level;
-        *entry = node;
-    }
-}
-
-static void build_threaded_free(build_shared_t *sh, worker_ctx_t *workers,
-                                int num_workers, spec_t *specs, int64_t *counts_slab,
-                                item_t *found_slab, int64_t **mod_stamps,
-                                int num_layers) {
-    if (workers) {
-        for (int i = 0; i < num_workers; i++) {
-            if (workers[i].scratch) scratch_free(workers[i].scratch);
-            free(workers[i].entry_points);
-        }
-        free(workers);
-    }
-    free(specs);
-    free(counts_slab);
-    free(found_slab);
-    if (mod_stamps) {
-        for (int l = 0; l < num_layers; l++) free(mod_stamps[l]);
-        free(mod_stamps);
-    }
-    if (sh) {
-        pthread_mutex_destroy(&sh->mutex);
-        pthread_cond_destroy(&sh->cond_start);
-        pthread_cond_destroy(&sh->cond_done);
-    }
-}
-
-/* Insert nodes [node0, n_total) on `num_threads` workers.  Returns 0 when it
- * ran (graph fully built), 1 when setup failed and the caller should run the
- * sequential loop instead — the output is byte-identical either way. */
-static int build_threaded(graph_t *g, const int64_t *levels, int64_t node0,
-                          int64_t start, int64_t n_total, const float *prepared_queries,
-                          const float *query_sqs, int64_t ef_construction,
-                          int64_t num_threads, int64_t cap_max, scratch_t *main_scratch,
-                          item_t *selected, item_t *entry_points, int64_t *idx_buf,
-                          int64_t *node_buf, float *dist_buf, int64_t *entry,
-                          int64_t *max_level, int64_t *epoch) {
-    int num_workers = num_threads > BUILD_MAX_THREADS ? BUILD_MAX_THREADS
-                                                      : (int)num_threads;
-    int64_t window = (int64_t)num_workers * 4;
-    int64_t found_stride = ef_construction + 2;
-    int num_layers = g->num_layers;
-    build_shared_t sh;
-    memset(&sh, 0, sizeof(sh));
-    pthread_mutex_init(&sh.mutex, 0);
-    pthread_cond_init(&sh.cond_start, 0);
-    pthread_cond_init(&sh.cond_done, 0);
-    spec_t *specs = (spec_t *)malloc((size_t)window * sizeof(spec_t));
-    int64_t *counts_slab =
-        (int64_t *)malloc((size_t)(window * num_layers) * sizeof(int64_t));
-    item_t *found_slab =
-        (item_t *)malloc((size_t)(window * num_layers * found_stride) * sizeof(item_t));
-    int64_t **mod_stamps = (int64_t **)calloc((size_t)num_layers, sizeof(int64_t *));
-    worker_ctx_t *workers =
-        (worker_ctx_t *)calloc((size_t)num_workers, sizeof(worker_ctx_t));
-    if (!specs || !counts_slab || !found_slab || !mod_stamps || !workers) {
-        build_threaded_free(&sh, workers, num_workers, specs, counts_slab, found_slab,
-                            mod_stamps, num_layers);
-        return 1;
-    }
-    for (int l = 0; l < num_layers; l++) {
-        mod_stamps[l] = (int64_t *)calloc((size_t)n_total, sizeof(int64_t));
-        if (!mod_stamps[l]) {
-            build_threaded_free(&sh, workers, num_workers, specs, counts_slab,
-                                found_slab, mod_stamps, num_layers);
-            return 1;
-        }
-    }
-    for (int64_t i = 0; i < window; i++) {
-        specs[i].counts = counts_slab + i * num_layers;
-        specs[i].found = found_slab + i * num_layers * found_stride;
-    }
-    sh.num_workers = num_workers;
-    sh.g = g;
-    sh.levels = levels;
-    sh.start = start;
-    sh.prepared_queries = prepared_queries;
-    sh.query_sqs = query_sqs;
-    sh.ef_construction = ef_construction;
-    sh.found_stride = found_stride;
-    sh.specs = specs;
-    int setup_failed = 0;
-    for (int i = 0; i < num_workers; i++) {
-        workers[i].shared = &sh;
-        workers[i].worker_id = i;
-        workers[i].scratch = scratch_alloc(n_total, ef_construction, cap_max, g->d);
-        workers[i].entry_points = (item_t *)malloc((size_t)found_stride * sizeof(item_t));
-        if (!workers[i].scratch || !workers[i].entry_points) {
-            setup_failed = 1;
-            break;
-        }
-        if (pthread_create(&workers[i].thread, 0, build_worker, &workers[i]) != 0) {
-            setup_failed = 1;
-            break;
-        }
-        workers[i].started = 1;
-    }
-    if (setup_failed) {
-        pthread_mutex_lock(&sh.mutex);
-        sh.shutdown = 1;
-        pthread_cond_broadcast(&sh.cond_start);
-        pthread_mutex_unlock(&sh.mutex);
-        for (int i = 0; i < num_workers; i++)
-            if (workers[i].started) pthread_join(workers[i].thread, 0);
-        build_threaded_free(&sh, workers, num_workers, specs, counts_slab, found_slab,
-                            mod_stamps, num_layers);
-        return 1;
-    }
-    int64_t version = 0;
-    modlog_t mods = {mod_stamps, &version};
-    int64_t node = node0;
-    while (node < n_total) {
-        int64_t count = n_total - node < window ? n_total - node : window;
-        for (int64_t pos = 0; pos < count; pos++) {
-            specs[pos].node = node + pos;
-            specs[pos].valid = 0;
-        }
-        pthread_mutex_lock(&sh.mutex);
-        sh.window_count = count;
-        sh.round_entry = *entry;
-        sh.round_max_level = *max_level;
-        sh.workers_done = 0;
-        sh.round_id += 1;
-        pthread_cond_broadcast(&sh.cond_start);
-        while (sh.workers_done < sh.num_workers)
-            pthread_cond_wait(&sh.cond_done, &sh.mutex);
-        pthread_mutex_unlock(&sh.mutex);
-        int64_t round_version = version;
-        int64_t round_entry = *entry;
-        int64_t round_max_level = *max_level;
-        for (int64_t pos = 0; pos < count; pos++) {
-            int64_t node_i = node + pos;
-            int64_t level = levels[node_i];
-            spec_t *spec = &specs[pos];
-            int valid =
-                spec->valid && *entry == round_entry && *max_level == round_max_level;
-            if (valid) {
-                for (int64_t r = 0; r < spec->num_reads; r++) {
-                    if (mod_stamps[spec->reads[r].layer][spec->reads[r].row] >
-                        round_version) {
-                        valid = 0;
-                        break;
-                    }
-                }
-            }
-            if (valid) {
-                commit_spec(g, node_i, level, spec, found_stride, ef_construction,
-                            selected, idx_buf, node_buf, dist_buf, entry, max_level,
-                            epoch, &mods);
-            } else {
-                insert_node(g, node_i, level,
-                            prepared_queries + (node_i - start) * g->d,
-                            query_sqs[node_i - start], ef_construction, main_scratch,
-                            selected, entry_points, idx_buf, node_buf, dist_buf, entry,
-                            max_level, epoch, &mods);
-            }
-        }
-        node += count;
-    }
-    pthread_mutex_lock(&sh.mutex);
-    sh.shutdown = 1;
-    pthread_cond_broadcast(&sh.cond_start);
-    pthread_mutex_unlock(&sh.mutex);
-    for (int i = 0; i < num_workers; i++)
-        if (workers[i].started) pthread_join(workers[i].thread, 0);
-    build_threaded_free(&sh, workers, num_workers, specs, counts_slab, found_slab,
-                        mod_stamps, num_layers);
-    return 0;
-}
-
 /* Insert nodes [start, n_total); returns 0 on success, -1 on allocation
- * failure (in which case no state was modified for the failing call).
- * `num_threads >= 2` enables the speculative round-based build; the output
- * is byte-identical at any thread count (and falls back to the sequential
- * loop if the pool cannot be set up). */
+ * failure (in which case no state was modified for the failing call). */
 int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
                int num_layers, int64_t **neighbors, float **dists, int64_t **degrees,
                const int64_t *caps, int64_t max_degree, int64_t ef_construction,
                const int64_t *levels, int64_t start, int64_t n_total,
                const float *prepared_queries, const float *query_sqs,
-               int64_t *entry_io, int64_t *max_level_io, int64_t num_threads) {
+               int64_t *entry_io, int64_t *max_level_io) {
     graph_t g = {base, sq_norms, d, metric, num_layers, neighbors,
                  dists, degrees, caps, max_degree};
     int64_t cap_max = caps[0];
@@ -1000,21 +635,10 @@ int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
         max_level = levels[node];
         node++;
     }
-    int threaded_done = 0;
-    if (num_threads >= 2 && node < n_total) {
-        threaded_done = build_threaded(&g, levels, node, start, n_total,
-                                       prepared_queries, query_sqs, ef_construction,
-                                       num_threads, cap_max, s, selected, entry_points,
-                                       idx_buf, node_buf, dist_buf, &entry, &max_level,
-                                       &epoch) == 0;
-    }
-    if (!threaded_done) {
-        for (; node < n_total; node++) {
-            insert_node(&g, node, levels[node], prepared_queries + (node - start) * d,
-                        query_sqs[node - start], ef_construction, s, selected,
-                        entry_points, idx_buf, node_buf, dist_buf, &entry, &max_level,
-                        &epoch, 0);
-        }
+    for (; node < n_total; node++) {
+        insert_node(&g, node, levels[node], prepared_queries + (node - start) * d,
+                    query_sqs[node - start], ef_construction, s, selected, entry_points,
+                    idx_buf, node_buf, dist_buf, &entry, &max_level, &epoch);
     }
     *entry_io = entry;
     *max_level_io = max_level;
@@ -1027,12 +651,14 @@ int hnsw_build(const float *base, const float *sq_norms, int64_t d, int metric,
     return 0;
 }
 
-/* Batched top-k query over a built graph; fills (num_queries, k) outputs. */
+/* Batched top-k query over a built graph; fills (num_queries, k) outputs.
+ * Each row is an independent traversal from the entry point (its entry
+ * distance included), so a row's answer never depends on the batch. */
 int hnsw_query(const float *base, const float *sq_norms, int64_t d, int metric,
                int num_layers, int64_t **neighbors, float **dists, int64_t **degrees,
                const int64_t *caps, int64_t max_degree, int64_t n_total,
                const float *prepared_queries, const float *query_sqs,
-               const float *entry_dists, int64_t num_queries, int64_t ef, int64_t k,
+               int64_t num_queries, int64_t ef, int64_t k,
                int64_t entry, int64_t max_level, int64_t *out_indices,
                double *out_distances) {
     graph_t g = {base, sq_norms, d, metric, num_layers, neighbors,
@@ -1047,11 +673,12 @@ int hnsw_query(const float *base, const float *sq_norms, int64_t d, int metric,
         const float *query = prepared_queries + row * d;
         float query_sq = query_sqs[row];
         int64_t current = entry;
-        float current_dist = entry_dists[row];
-        greedy_descent(&g, query, query_sq, &current, &current_dist, max_level, 0, s, 0);
+        float current_dist;
+        row_distances(&g, query, query_sq, &current, 1, s->gather, &current_dist);
+        greedy_descent(&g, query, query_sq, &current, &current_dist, max_level, 0, s);
         item_t start_item = {current_dist, current};
         int64_t num_found =
-            search_layer(&g, query, query_sq, &start_item, 1, ef, 0, row + 1, s, 0);
+            search_layer(&g, query, query_sq, &start_item, 1, ef, 0, row + 1, s);
         qsort(s->found, (size_t)num_found, sizeof(item_t), cmp_items_asc);
         int64_t count = num_found < k ? num_found : k;
         for (int64_t j = 0; j < count; j++) {
@@ -1137,53 +764,6 @@ int ann_rerank_csr(const float *base, const float *sq_norms, int64_t d, int metr
     }
     free(gather);
     free(dist);
-    free(items);
-    return 0;
-}
-
-/* -------------------------------------------------------- quantized scan */
-
-static int cmp_i64_asc(const void *pa, const void *pb) {
-    int64_t a = *(const int64_t *)pa;
-    int64_t b = *(const int64_t *)pb;
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
-}
-
-/* Opt-in int8 coarse candidate scan.  `codes` is the (n, d) symmetric
- * per-block quantization of the prepared base rows (block rows share one
- * scale), `qcodes`/`qscales` the per-query quantization.  Scores are exact
- * int32 dot products mapped through one fixed float32 op sequence —
- * identical to the numpy fallback in engine.quantized_scan_rows — and the
- * top-c rows per query are emitted in ascending row order (the canonical
- * candidate-segment order the exact re-rank expects).  Cosine ranks by
- * -dot (base rows are normed); euclidean by n^2 - 2*dot (the per-query q^2
- * term is rank-constant and omitted).  Returns 0 on success, -1 on bad
- * arguments / allocation failure (caller falls back to numpy). */
-int ann_quantized_scan(const int8_t *codes, const float *scales, int64_t block,
-                       int64_t n, int64_t d, const float *sq_norms, int metric,
-                       const int8_t *qcodes, const float *qscales, int64_t num_queries,
-                       int64_t c, int64_t *out_rows) {
-    if (n <= 0 || c <= 0 || c > n || block <= 0) return -1;
-    item_t *items = (item_t *)malloc((size_t)n * sizeof(item_t));
-    if (!items) return -1;
-    for (int64_t q = 0; q < num_queries; q++) {
-        const int8_t *qc = qcodes + q * d;
-        float qscale = qscales[q];
-        for (int64_t i = 0; i < n; i++) {
-            const int8_t *row = codes + i * d;
-            int32_t acc = 0;
-            for (int64_t j = 0; j < d; j++) acc += (int32_t)row[j] * (int32_t)qc[j];
-            float t = ((float)acc * scales[i / block]) * qscale;
-            items[i].dist = metric == METRIC_COSINE ? -t : sq_norms[i] - 2.0f * t;
-            items[i].node = i;
-        }
-        qsort(items, (size_t)n, sizeof(item_t), cmp_rerank_items);
-        int64_t *out = out_rows + q * c;
-        for (int64_t j = 0; j < c; j++) out[j] = items[j].node;
-        qsort(out, (size_t)c, sizeof(int64_t), cmp_i64_asc);
-    }
     free(items);
     return 0;
 }

@@ -25,25 +25,14 @@ class BruteForceIndex(NearestNeighborIndex):
     through the shared engine's dense path
     (:func:`repro.ann.engine.exact_topk_blocked` — candidate generation is
     "all rows"); results are bit-identical to the unprepared kernel.
-
-    ``quantized_scan=True`` (opt-in, never a default) swaps the dense scan
-    for the two-stage path in :func:`repro.ann.engine.quantized_topk`: an
-    int8 coarse scan over-fetches candidates, then the exact float32 re-rank
-    orders them. The quantization plane is derived lazily from the prepared
-    vectors on first query and never persisted — only the boolean flag rides
-    in snapshot meta.
     """
 
-    def __init__(
-        self, metric: str = "cosine", batch_size: int = 2048, quantized_scan: bool = False
-    ) -> None:
+    def __init__(self, metric: str = "cosine", batch_size: int = 2048) -> None:
         super().__init__(metric)
         if batch_size < 1:
             raise IndexError_("batch_size must be >= 1")
         self.batch_size = batch_size
-        self.quantized_scan = bool(quantized_scan)
         self._prepared: PreparedVectors | None = None
-        self._plane: "engine.QuantizedPlane | None" = None
 
     def build(self, vectors: np.ndarray) -> "BruteForceIndex":
         vectors = np.asarray(vectors, dtype=np.float32)
@@ -51,7 +40,6 @@ class BruteForceIndex(NearestNeighborIndex):
             raise IndexError_("expected a 2-d array of vectors")
         self._vectors = vectors
         self._prepared = PreparedVectors(vectors, self.metric)
-        self._plane = None
         return self
 
     def extend(self, vectors: np.ndarray) -> "BruteForceIndex":
@@ -62,14 +50,11 @@ class BruteForceIndex(NearestNeighborIndex):
         assert self._prepared is not None
         self._prepared.append(vectors)
         self._vectors = self._prepared.vectors
-        self._plane = None  # derived state; rebuilt lazily over the grown rows
         return self
 
     def clone(self) -> "BruteForceIndex":
         """Independent copy; extending the clone leaves the original untouched."""
-        dup = BruteForceIndex(
-            metric=self.metric, batch_size=self.batch_size, quantized_scan=self.quantized_scan
-        )
+        dup = BruteForceIndex(metric=self.metric, batch_size=self.batch_size)
         dup._vectors = self._vectors
         dup._prepared = None if self._prepared is None else self._prepared.copy()
         return dup
@@ -90,18 +75,13 @@ class BruteForceIndex(NearestNeighborIndex):
             "backend": "brute-force",
             "metric": self.metric,
             "batch_size": self.batch_size,
-            "quantized_scan": self.quantized_scan,
         }
         return meta, arrays
 
     @classmethod
     def from_snapshot_state(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "BruteForceIndex":
         """Rebuild an index from :meth:`snapshot_state` output (arrays adopted as-is)."""
-        index = cls(
-            metric=meta["metric"],
-            batch_size=meta["batch_size"],
-            quantized_scan=meta.get("quantized_scan", False),
-        )
+        index = cls(metric=meta["metric"], batch_size=meta["batch_size"])
         index._prepared = PreparedVectors.from_state(
             arrays["vectors"],
             meta["metric"],
@@ -119,14 +99,7 @@ class BruteForceIndex(NearestNeighborIndex):
         assert self._prepared is not None
         indices, distances = engine.alloc_topk(queries.shape[0], k)
         prepared_queries = self._prepared.prepare_queries(queries)
-        if self.quantized_scan:
-            if self._plane is None:
-                self._plane = engine.QuantizedPlane(self._prepared)
-            engine.quantized_topk(
-                self._prepared, self._plane, prepared_queries, k, indices, distances
-            )
-        else:
-            engine.exact_topk_blocked(
-                self._prepared, prepared_queries, k, self.batch_size, indices, distances
-            )
+        engine.exact_topk_blocked(
+            self._prepared, prepared_queries, k, self.batch_size, indices, distances
+        )
         return indices, distances

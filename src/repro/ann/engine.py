@@ -330,144 +330,6 @@ def exact_topk_blocked(
         distances[start:stop, :effective_k] = top_distances[row_index, order]
 
 
-#: Rows per quantization block: one shared int8 scale per 512-row block keeps
-#: the scale table tiny while bounding the blast radius of a single outlier.
-_QUANT_BLOCK = 512
-
-
-class QuantizedPlane:
-    """Symmetric per-block int8 quantization of a prepared vector set.
-
-    The opt-in coarse-scan plane for :class:`~repro.ann.brute_force.
-    BruteForceIndex` (``quantized_scan=True``): rows are quantized in blocks
-    of :data:`_QUANT_BLOCK`, each block sharing one symmetric scale
-    ``maxabs / 127`` (``1.0`` for an all-zero block), codes
-    ``rint(row / scale)`` in int8. Scores reconstructed from the exact int32
-    code dots are *approximate* — the plane only picks coarse candidates,
-    which the exact float32 re-rank then orders — so this state is derived,
-    never persisted: snapshots store the float32 vectors and a restored index
-    rebuilds the plane lazily on first quantized query.
-    """
-
-    def __init__(self, prepared: PreparedVectors, block: int = _QUANT_BLOCK) -> None:
-        rows, sq_norms = prepared.native_views()
-        self.metric = prepared.metric
-        self.sq_norms = sq_norms  # None for cosine
-        self.block = int(block)
-        n = int(rows.shape[0])
-        num_blocks = max(1, -(-n // self.block))
-        scales = np.empty(num_blocks, dtype=np.float32)
-        codes = np.empty(rows.shape, dtype=np.int8)
-        for b in range(num_blocks):
-            chunk = rows[b * self.block : (b + 1) * self.block]
-            peak = float(np.max(np.abs(chunk))) if chunk.size else 0.0
-            scale = np.float32(peak) / np.float32(127.0) if peak > 0.0 else np.float32(1.0)
-            scales[b] = scale
-            codes[b * self.block : (b + 1) * self.block] = np.rint(chunk / scale).astype(np.int8)
-        self.codes = codes
-        self.scales = scales
-        self.size = n
-        self.dim = int(rows.shape[1])
-
-    def quantize_queries(self, prepared_queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-query symmetric int8 codes and scales (``maxabs / 127``)."""
-        q = np.ascontiguousarray(prepared_queries, dtype=np.float32)
-        if q.shape[0] == 0:
-            return np.empty(q.shape, dtype=np.int8), np.empty(0, dtype=np.float32)
-        peaks = np.abs(q).max(axis=1).astype(np.float32)
-        qscales = peaks / np.float32(127.0)
-        qscales[qscales == 0.0] = np.float32(1.0)
-        qcodes = np.rint(q / qscales[:, None]).astype(np.int8)
-        return qcodes, np.ascontiguousarray(qscales)
-
-
-def quantized_scan_rows(
-    plane: QuantizedPlane,
-    qcodes: np.ndarray,
-    qscales: np.ndarray,
-    c: int,
-    *,
-    use_native: bool | None = None,
-) -> np.ndarray:
-    """Top-``c`` coarse candidate rows per query, each row set sorted ascending.
-
-    Scores every indexed row from the exact int32 code dot product
-    (``t = float32(idot) * row_scale * qscale``; cosine score ``-t``,
-    euclidean score ``sq_norm - 2t``) and keeps the ``c`` best per query,
-    ties broken by lower row id. The native kernel and the numpy fallback
-    replicate the same float32 op sequence and stable selection, so both
-    return identical candidate sets (pinned by the kernel self-test).
-    """
-    num_queries = int(qcodes.shape[0])
-    c = int(min(c, plane.size))
-    if num_queries == 0 or c <= 0:
-        return np.empty((num_queries, max(c, 0)), dtype=np.int64)
-    kernel = None if use_native is False else native.get_kernel()
-    if kernel is not None:
-        out = np.empty((num_queries, c), dtype=np.int64)
-        qcodes_c = np.ascontiguousarray(qcodes, dtype=np.int8)
-        qscales_c = np.ascontiguousarray(qscales, dtype=np.float32)
-        status = kernel.quantized_scan(
-            plane.codes.ctypes.data,
-            plane.scales.ctypes.data,
-            plane.block,
-            plane.size,
-            plane.dim,
-            None if plane.sq_norms is None else plane.sq_norms.ctypes.data,
-            0 if plane.metric == "cosine" else 1,
-            qcodes_c.ctypes.data,
-            qscales_c.ctypes.data,
-            num_queries,
-            c,
-            out.ctypes.data,
-        )
-        if status == 0:
-            return out
-    # numpy fallback: identical scores (same float32 op order) and selection.
-    idots = plane.codes.astype(np.int32) @ qcodes.astype(np.int32).T  # (n, nq)
-    row_scales = np.repeat(plane.scales, plane.block)[: plane.size].astype(np.float32)
-    t = idots.astype(np.float32) * row_scales[:, None]
-    t = t * qscales[None, :].astype(np.float32)
-    if plane.metric == "cosine":
-        scores = -t
-    else:
-        scores = plane.sq_norms[:, None] - np.float32(2.0) * t
-    order = np.argsort(scores, axis=0, kind="stable")[:c]  # (c, nq)
-    return np.ascontiguousarray(np.sort(order.T.astype(np.int64), axis=1))
-
-
-def quantized_topk(
-    prepared: PreparedVectors,
-    plane: QuantizedPlane,
-    prepared_queries: np.ndarray,
-    k: int,
-    indices: np.ndarray,
-    distances: np.ndarray,
-    *,
-    use_native: bool | None = None,
-) -> None:
-    """Opt-in two-stage exact top-k: int8 coarse scan + exact float32 re-rank.
-
-    Over-fetches ``c = min(n, max(4k, k + 32))`` coarse candidates per query,
-    then funnels the survivors through :func:`rerank_csr` — the exact float32
-    path — so the emitted top-k is exact *over the survivor set*. Agreement
-    with the dense exact scan is bound by tests (recall == 1 on the suite's
-    data), not by construction: a pathological quantization could exclude a
-    true neighbour, which is why this scan is never a default.
-    """
-    num_queries = int(prepared_queries.shape[0])
-    if num_queries == 0 or plane.size == 0:
-        return
-    c = int(min(plane.size, max(4 * k, k + 32)))
-    qcodes, qscales = plane.quantize_queries(prepared_queries)
-    rows = quantized_scan_rows(plane, qcodes, qscales, c, use_native=use_native)
-    candidates = np.ascontiguousarray(rows.reshape(-1), dtype=np.int64)
-    offsets = np.arange(num_queries + 1, dtype=np.int64) * c
-    rerank_csr(
-        prepared, prepared_queries, candidates, offsets, k, indices, distances, use_native=use_native
-    )
-
-
 def query_rows(index, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Batched top-K whose per-row answers never depend on batch composition.
 

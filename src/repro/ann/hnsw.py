@@ -66,11 +66,6 @@ class HNSWIndex(NearestNeighborIndex):
         ef_search: candidate-list size during queries (raised to ``k`` when a
             query asks for more than ``ef_search`` neighbours).
         seed: level-sampling seed, making index construction deterministic.
-        kernel_threads: worker threads for the native build's speculative
-            insert pipeline (``1`` = sequential). Content-neutral: the commit
-            order is the insertion order at any thread count, so the graph is
-            byte-identical regardless — the knob is deliberately excluded
-            from snapshot meta and index-cache keys.
     """
 
     batch_invariant = True
@@ -82,20 +77,16 @@ class HNSWIndex(NearestNeighborIndex):
         ef_construction: int = 100,
         ef_search: int = 64,
         seed: int = 0,
-        kernel_threads: int = 1,
     ) -> None:
         super().__init__(metric)
         if max_degree < 2:
             raise IndexError_("max_degree must be >= 2")
         if ef_construction < 1 or ef_search < 1:
             raise IndexError_("ef parameters must be >= 1")
-        if kernel_threads < 1:
-            raise IndexError_("kernel_threads must be >= 1")
         self.max_degree = max_degree
         self.ef_construction = ef_construction
         self.ef_search = ef_search
         self.seed = seed
-        self.kernel_threads = int(kernel_threads)
         self._level_mult = 1.0 / math.log(max_degree)
         # Per-layer flat adjacency: neighbours / distances are (num_nodes, cap)
         # arrays (cap = max degree + 1 slack for the pre-prune overflow slot).
@@ -348,7 +339,6 @@ class HNSWIndex(NearestNeighborIndex):
             query_sqs.ctypes.data,
             entry_io.ctypes.data,
             max_level_io.ctypes.data,
-            int(self.kernel_threads),
         )
         if status != 0:  # pragma: no cover - allocation failure
             del self._node_levels[start:]
@@ -445,7 +435,6 @@ class HNSWIndex(NearestNeighborIndex):
             ef_construction=self.ef_construction,
             ef_search=self.ef_search,
             seed=self.seed,
-            kernel_threads=self.kernel_threads,
         )
         dup._vectors = self._vectors
         dup._prepared = None if self._prepared is None else self._prepared.copy()
@@ -570,21 +559,24 @@ class HNSWIndex(NearestNeighborIndex):
         ef = max(self.ef_search, k)
         # The query block is prepared in one batched kernel call; the
         # best-first traversals below then gather (1, d) @ (d, batch) blocks.
+        # Every distance a traversal sees, the entry point's included, comes
+        # from its own row's kernel call, so a row's answer never depends on
+        # the batch around it (a batched GEMM over all rows would).
         prepared_queries = prepared.prepare_queries(queries)
-        entry_rows = np.asarray([self._entry_point], dtype=np.int64)
-        entry_dists = prepared.block_distances(prepared_queries, entry_rows)[:, 0]
         kernel = self._native_kernel()
         if kernel is not None and self._query_native(
-            kernel, prepared_queries, entry_dists, ef, k, indices, distances
+            kernel, prepared_queries, ef, k, indices, distances
         ):
             return indices, distances
         # One stamp buffer for the whole batch (private to this call, so
         # concurrent query() calls on a shared index never collide).
         stamps = np.zeros(len(self._node_levels), dtype=np.int64)
+        entry_rows = np.asarray([self._entry_point], dtype=np.int64)
         for row in range(num_queries):
             prepared_query = prepared_queries[row]
+            entry_dist = float(prepared.row_distances(prepared_query, entry_rows)[0])
             entry, entry_dist = self._greedy_descent(
-                prepared_query, self._entry_point, float(entry_dists[row]), self._max_level, 0
+                prepared_query, self._entry_point, entry_dist, self._max_level, 0
             )
             found = self._search_layer(prepared_query, [(entry_dist, entry)], ef, 0, stamps, row + 1)
             found.sort()
@@ -597,7 +589,6 @@ class HNSWIndex(NearestNeighborIndex):
         self,
         kernel: "native.NativeKernel",
         prepared_queries: np.ndarray,
-        entry_dists: np.ndarray,
         ef: int,
         k: int,
         indices: np.ndarray,
@@ -610,7 +601,6 @@ class HNSWIndex(NearestNeighborIndex):
         caps = np.array([self._layer_capacity(l) for l in range(num_layers)], dtype=np.int64)
         base, sq_norms = self._native_base()
         prepared_queries = np.ascontiguousarray(prepared_queries)
-        entry_dists = np.ascontiguousarray(np.asarray(entry_dists, dtype=np.float32))
         query_sqs = self._native_query_sqs(prepared_queries)
         status = kernel.query(
             base.ctypes.data,
@@ -626,7 +616,6 @@ class HNSWIndex(NearestNeighborIndex):
             len(self._node_levels),
             prepared_queries.ctypes.data,
             query_sqs.ctypes.data,
-            entry_dists.ctypes.data,
             int(prepared_queries.shape[0]),
             ef,
             k,

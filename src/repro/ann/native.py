@@ -13,10 +13,11 @@ so every distance comes out bit-for-bit identical to the numpy path.
 
 Safety model: the kernel is only enabled after a load-time **self-test**
 builds, extends and queries small HNSW *and* LSH indexes through both paths
-(both metrics, probe-neighbour variants, duplicate rows, all-miss queries)
-and byte-compares the graphs and results. Any environment where the
-toolchain, BLAS symbols, or bit-identity assumptions do not hold silently
-falls back to the pure-Python implementations — same outputs, just slower.
+(both metrics, probe-neighbour variants, duplicate rows, all-miss queries),
+runs the radix dedup against ``np.unique``, and byte-compares the graphs
+and results. Any environment where the toolchain, BLAS symbols, or
+bit-identity assumptions do not hold silently falls back to the pure-Python
+implementations — same outputs, just slower.
 Set ``REPRO_NATIVE=0`` to force the fallback, ``REPRO_NATIVE=require`` to
 make unavailability a hard error.
 
@@ -71,12 +72,12 @@ class NativeKernel:
         lib.ann_kernel_variant.restype = i32
         lib.hnsw_build.argtypes = [
             vp, vp, i64, i32, i32, pvp, pvp, pvp, vp, i64, i64,
-            vp, i64, i64, vp, vp, vp, vp, i64,
+            vp, i64, i64, vp, vp, vp, vp,
         ]
         lib.hnsw_build.restype = i32
         lib.hnsw_query.argtypes = [
             vp, vp, i64, i32, i32, pvp, pvp, pvp, vp, i64, i64,
-            vp, vp, vp, i64, i64, i64, i64, i64, vp, vp,
+            vp, vp, i64, i64, i64, i64, i64, vp, vp,
         ]
         lib.hnsw_query.restype = i32
         lib.ann_rerank_csr.argtypes = [
@@ -85,15 +86,10 @@ class NativeKernel:
         lib.ann_rerank_csr.restype = i32
         lib.ann_dedup_i64.argtypes = [vp, i64]
         lib.ann_dedup_i64.restype = i64
-        lib.ann_quantized_scan.argtypes = [
-            vp, vp, i64, i64, i64, vp, i32, vp, vp, i64, i64, vp,
-        ]
-        lib.ann_quantized_scan.restype = i32
         self.build = lib.hnsw_build
         self.query = lib.hnsw_query
         self.rerank = lib.ann_rerank_csr
         self.dedup = lib.ann_dedup_i64
-        self.quantized_scan = lib.ann_quantized_scan
         if int(lib.ann_kernel_variant()) != (1 if variant == "avx2" else 0):
             raise OSError(f"compiled object does not match requested variant {variant!r}")
 
@@ -181,9 +177,8 @@ def _build_directory() -> str:
 #: compiler cannot fuse the micro-kernels' scalar tails into FMAs — every FMA
 #: in that build is an explicit intrinsic, matching OpenBLAS's code exactly.
 _VARIANT_FLAGS: dict[str, tuple[str, ...]] = {
-    "scalar": ("-O2", "-pthread"),
-    "avx2": ("-O2", "-pthread", "-mavx2", "-mfma", "-ffp-contract=off",
-             "-DANN_VARIANT_AVX2"),
+    "scalar": ("-O2",),
+    "avx2": ("-O2", "-mavx2", "-mfma", "-ffp-contract=off", "-DANN_VARIANT_AVX2"),
 }
 
 
@@ -210,7 +205,7 @@ def _compile_kernel(variant: str) -> ctypes.CDLL:
     compiler = os.environ.get("CC", "gcc")
     flags = _VARIANT_FLAGS[variant]
     # Cache key = (source, compiler, flags, cpu-feature set): toggling
-    # SIMD/thread flags or moving a cached .so across machines can never
+    # SIMD flags or moving a cached .so across machines can never
     # serve a stale or wrong-ISA kernel.
     enabled_features = sorted(name for name, on in _cpu_features().items() if on)
     hasher = hashlib.sha256(source)
@@ -245,7 +240,7 @@ def _compile_kernel(variant: str) -> ctypes.CDLL:
 
 
 def _hnsw_pair_error(vectors, queries, metric: str, split: int, ks=(1, 5),
-                     kernel_threads: int = 1, label: str = "", **kwargs) -> str | None:
+                     label: str = "", **kwargs) -> str | None:
     """Byte-compare a python-path vs native-path HNSW build/extend/query pair."""
     import numpy as np
 
@@ -255,7 +250,7 @@ def _hnsw_pair_error(vectors, queries, metric: str, split: int, ks=(1, 5),
     python_index = HNSWIndex(metric=metric, **kwargs)
     python_index._use_native = False
     python_index.build(vectors[:split]).extend(vectors[split:])
-    native_index = HNSWIndex(metric=metric, kernel_threads=kernel_threads, **kwargs)
+    native_index = HNSWIndex(metric=metric, **kwargs)
     native_index._use_native = True
     native_index.build(vectors[:split]).extend(vectors[split:])
     n = vectors.shape[0]
@@ -305,11 +300,6 @@ def _self_test() -> str | None:
                                  label=f" d={d}", **extra_kwargs)
         if error is not None:
             return error
-    # Threaded build: byte-identical at kernel_threads=2 (speculative rounds).
-    error = _hnsw_pair_error(vectors, queries, "cosine", 120, kernel_threads=2,
-                             label=" kernel_threads=2", **base_kwargs)
-    if error is not None:
-        return error
     # LSH probe + re-rank: duplicate rows (exact distance ties), probe
     # variants, and far-away all-miss queries all byte-compare through the
     # shared CSR re-rank.
@@ -341,24 +331,6 @@ def _self_test() -> str | None:
         got = engine.dedup_sorted_keys(case.copy(), use_native=True)
         if not np.array_equal(got, expected):
             return "radix dedup diverged from sorted unique"
-    # Quantized coarse scan: the native int8 scan must emit the exact
-    # candidate segments the numpy fallback emits (same int32 dots, same
-    # float32 score ops, same stable selection).
-    from .distances import PreparedVectors
-
-    for metric in ("cosine", "euclidean"):
-        prepared = PreparedVectors(vectors, metric)
-        plane = engine.QuantizedPlane(prepared)
-        qcodes, qscales = plane.quantize_queries(prepared.prepare_queries(queries))
-        for c in (3, 17):
-            native_rows = engine.quantized_scan_rows(
-                plane, qcodes, qscales, c, use_native=True
-            )
-            python_rows = engine.quantized_scan_rows(
-                plane, qcodes, qscales, c, use_native=False
-            )
-            if not np.array_equal(native_rows, python_rows):
-                return f"{metric}: quantized scan (c={c}) diverged"
     return None
 
 

@@ -88,14 +88,6 @@ class MergingConfig:
             across hierarchy levels (and across ``add_table`` calls in the
             incremental matcher). Reuse is exact, so results are unchanged.
         index_cache_entries: LRU capacity of that cache.
-        kernel_threads: worker threads for the native HNSW build (``1`` =
-            sequential). Content-neutral — the threaded build commits in
-            insertion order and produces byte-identical graphs at any
-            setting. Usually set via ``ParallelConfig.kernel_threads``,
-            which the pipeline copies here.
-        quantized_scan: opt the brute-force backend into the int8 coarse
-            scan + exact float32 re-rank path (never a default; see
-            :func:`repro.ann.engine.quantized_topk`).
         seed: seed controlling the random pairing of tables at each hierarchy
             level (Figure 6(b) studies sensitivity to this order).
         shards: number of merge shards (``1`` = the classic unsharded pass).
@@ -124,8 +116,6 @@ class MergingConfig:
     lsh_probe_neighbors: bool = True
     index_cache: bool = True
     index_cache_entries: int = 8
-    kernel_threads: int = 1
-    quantized_scan: bool = False
     seed: int = 0
     shards: int = 1
     shard_key: str = "lsh"
@@ -145,8 +135,6 @@ class MergingConfig:
             raise ConfigurationError("lsh_num_tables and lsh_num_bits must be >= 1")
         if self.index_cache_entries < 1:
             raise ConfigurationError("index_cache_entries must be >= 1")
-        if self.kernel_threads < 1:
-            raise ConfigurationError("kernel_threads must be >= 1")
         if self.shards < 1:
             raise ConfigurationError("shards must be >= 1")
         if self.shard_key not in ("lsh", "token"):
@@ -195,12 +183,9 @@ class ParallelConfig:
         enabled: run merging and pruning through a worker pool.
         backend: ``"thread"`` or ``"process"``; threads are the default since
             the heavy lifting is released-GIL numpy work.
-        max_workers: pool size (``None`` lets the executor decide).
-        reuse_pool: keep one persistent worker pool per
-            :class:`~repro.core.parallel.ParallelExecutor` lifetime (the
-            default). ``False`` restores the historical spin-up-per-call
-            behaviour — only useful as the baseline in the pool-reuse
-            benchmark.
+        max_workers: pool size (``None`` lets the executor decide). Each
+            :class:`~repro.core.parallel.ParallelExecutor` keeps one
+            persistent pool for its lifetime.
         shared_memory: with the process backend, ship merge/prune task
             arrays through a shared-memory plane
             (:mod:`repro.store.plane`) instead of pickling them through the
@@ -222,31 +207,22 @@ class ParallelConfig:
         max_retries: pool-restart rounds before serial degradation.
         retry_backoff: base sleep (seconds) between rounds, doubled each
             round.
-        kernel_threads: worker threads inside the native HNSW build kernel
-            (``1`` = sequential). Orthogonal to the pool knobs above — this
-            parallelises *within* one index build rather than across tasks —
-            and content-neutral: graphs are byte-identical at any setting.
-            The pipeline copies it onto ``MergingConfig.kernel_threads``.
     """
 
     enabled: bool = False
     backend: str = "thread"
     max_workers: int | None = None
-    reuse_pool: bool = True
     shared_memory: bool = False
     self_heal: bool = True
     task_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.1
-    kernel_threads: int = 1
 
     def validate(self) -> None:
         if self.backend not in ("thread", "process", "serial"):
             raise ConfigurationError(f"unknown parallel backend {self.backend!r}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1 when given")
-        if self.kernel_threads < 1:
-            raise ConfigurationError("kernel_threads must be >= 1")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ConfigurationError("task_timeout must be > 0 when given")
         if self.max_retries < 0:

@@ -11,9 +11,8 @@ Persistent pools
 ----------------
 
 Worker pools are created **once per executor lifetime** (lazily, at the
-first parallel ``map``) and reused by every subsequent call — the historical
-behaviour of spinning a fresh pool per call is kept only behind
-``ParallelConfig.reuse_pool=False`` as the benchmark baseline. Persistence is
+first parallel ``map``) and reused by every subsequent call; a pool is only
+replaced when self-healing discards a broken or wedged one. Persistence is
 what makes the process backend viable: workers survive across the merge
 hierarchy's levels and across ``map`` calls, so per-call pool start-up
 disappears and each worker's warmed state is amortized over the whole run.
@@ -239,7 +238,7 @@ class ParallelExecutor:
         except Exception:
             pass
 
-    def _discard_pool(self, pool: Executor, *, ephemeral: bool) -> None:
+    def _discard_pool(self, pool: Executor) -> None:
         """Drop a broken or wedged pool without waiting on it.
 
         A hung process worker would block ``shutdown(wait=True)`` forever, so
@@ -247,7 +246,7 @@ class ParallelExecutor:
         be killed; they are leaked (non-daemon, so they finish eventually)
         and the executor simply stops routing work to that pool.
         """
-        if not ephemeral and self._pool is pool:
+        if self._pool is pool:
             self._pool = None
         processes = getattr(pool, "_processes", None)
         if processes:
@@ -279,9 +278,6 @@ class ParallelExecutor:
             raise ConfigurationError(f"unknown parallel backend {self.config.backend!r}")
         if self.config.self_heal:
             return self._map_healing(function, items)
-        if not self.config.reuse_pool:  # historical spin-up-per-call baseline
-            with self._make_pool() as pool:
-                return list(pool.map(function, items))
         pool = self._ensure_pool()
         try:
             return list(pool.map(function, items))
@@ -309,8 +305,7 @@ class ParallelExecutor:
         pending = list(range(len(items)))
         rounds = 0
         while pending:
-            ephemeral = not config.reuse_pool
-            pool = self._make_pool() if ephemeral else self._ensure_pool()
+            pool = self._ensure_pool()
             failure: BaseException | None = None
             try:
                 futures = {}
@@ -340,9 +335,7 @@ class ParallelExecutor:
             finally:
                 if failure is not None:
                     self.metrics["pool_restarts"] += 1
-                    self._discard_pool(pool, ephemeral=ephemeral)
-                elif ephemeral:
-                    pool.shutdown(wait=True)
+                    self._discard_pool(pool)
             pending = [index for index in pending if index not in results]
             if not pending:
                 break

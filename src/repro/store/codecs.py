@@ -175,7 +175,41 @@ def index_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]"):
     cls = _INDEX_TYPES.get(meta.get("backend"))
     if cls is None:
         raise StoreError(f"unknown index backend {meta.get('backend')!r} in snapshot")
+    _refuse_quantized_scan(meta, "index")
     return cls.from_snapshot_state(meta, dict(arrays))
+
+
+# ------------------------------------------------- retired snapshot fields
+#: Config fields older snapshots carry for options that no longer exist.
+#: ``kernel_threads`` and ``reuse_pool`` only ever changed wall-clock time,
+#: so they are dropped; ``quantized_scan`` is accepted only when off.
+_RETIRED_CONFIG_FIELDS = {
+    "merging": ("kernel_threads", "quantized_scan"),
+    "parallel": ("kernel_threads", "reuse_pool"),
+}
+_RETIRED_PARAMS_ITEM = ("quantized_scan", False)
+
+
+def _refuse_quantized_scan(meta: dict, where: str) -> None:
+    """Fail loudly on a snapshot fitted with the removed int8 quantized scan."""
+    if meta.get("quantized_scan", False):
+        raise StoreError(
+            f"snapshot {where} sets quantized_scan=true; the int8 quantized scan "
+            "no longer exists — refit without it"
+        )
+
+
+def _current_params_key(params_key):
+    """Strip the retired ``("quantized_scan", False)`` item from an old cache key.
+
+    Older merges keyed their cache entries with it; without it a restored
+    entry would never content-hit, and a delta would not pair its entries
+    with the base's.
+    """
+    if isinstance(params_key, tuple) and len(params_key) == 3 and isinstance(params_key[2], tuple):
+        backend, metric, items = params_key
+        return (backend, metric, tuple(item for item in items if item != _RETIRED_PARAMS_ITEM))
+    return params_key
 
 
 # ----------------------------------------------------------------- IndexCache
@@ -210,7 +244,7 @@ def index_cache_from_state(meta: dict, arrays: "Mapping[str, np.ndarray]") -> In
         }
         entries.append(
             (
-                untag_tuples(entry_meta["params_key"]),
+                _current_params_key(untag_tuples(entry_meta["params_key"])),
                 arrays[f"e{i}/vectors"],
                 index_from_state(index_meta, index_arrays),
             )
@@ -450,11 +484,17 @@ def config_to_meta(config: MultiEMConfig) -> dict:
 
 
 def config_from_meta(meta: dict) -> MultiEMConfig:
+    _refuse_quantized_scan(meta["merging"], "merging config")
+    sections = {
+        name: {key: value for key, value in meta[name].items()
+               if key not in _RETIRED_CONFIG_FIELDS.get(name, ())}
+        for name in ("representation", "merging", "pruning", "parallel")
+    }
     config = MultiEMConfig(
-        representation=RepresentationConfig(**meta["representation"]),
-        merging=MergingConfig(**meta["merging"]),
-        pruning=PruningConfig(**meta["pruning"]),
-        parallel=ParallelConfig(**meta["parallel"]),
+        representation=RepresentationConfig(**sections["representation"]),
+        merging=MergingConfig(**sections["merging"]),
+        pruning=PruningConfig(**sections["pruning"]),
+        parallel=ParallelConfig(**sections["parallel"]),
     )
     config.validate()
     return config

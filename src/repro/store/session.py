@@ -37,6 +37,7 @@ import os
 import numpy as np
 
 from ..core.incremental import IncrementalMultiEM
+from ..core.merging import merge_index_kwargs
 from ..data.table import Table
 from ..exceptions import StoreError
 from . import codecs
@@ -439,17 +440,7 @@ class _QueryContext:
         self.merging = merging
         self.cache = matcher._index_cache
         self.default_max_distance = merging.m
-        self.index_kwargs = {
-            "hnsw_max_degree": merging.hnsw_max_degree,
-            "hnsw_ef_construction": merging.hnsw_ef_construction,
-            "hnsw_ef_search": merging.hnsw_ef_search,
-            "lsh_num_tables": merging.lsh_num_tables,
-            "lsh_num_bits": merging.lsh_num_bits,
-            "lsh_probe_neighbors": merging.lsh_probe_neighbors,
-            "kernel_threads": merging.kernel_threads,
-            "quantized_scan": merging.quantized_scan,
-            "seed": merging.seed,
-        }
+        self.index_kwargs = merge_index_kwargs(merging)
         self._resolved: dict[int, str] = {}
 
     def index_for(self, table):

@@ -105,13 +105,6 @@ class TestHealingUnit:
                     ex.map(_worker_suicide, list(range(4)))
                 assert ex._pool is None, "broken pool must be dropped"
 
-    def test_healing_with_ephemeral_pools(self):
-        plan = faults.FaultPlan(worker_fault="kill", worker_fault_task=1)
-        with faults.inject(plan):
-            with ParallelExecutor(_heal_config(reuse_pool=False)) as ex:
-                assert ex.map(_square, list(range(5))) == [0, 1, 4, 9, 16]
-                assert ex._pool is None
-
     def test_thread_backend_timeout_heals_serially(self):
         # Threads cannot be killed: the wedged pool is abandoned and the
         # missing tasks run in the parent.

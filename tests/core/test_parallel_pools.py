@@ -117,16 +117,6 @@ def test_process_workers_persist_across_calls():
         ex.close()
 
 
-def test_legacy_fresh_pool_mode_still_works():
-    config = ParallelConfig(enabled=True, backend="process", max_workers=1, reuse_pool=False)
-    ex = ParallelExecutor(config)
-    try:
-        assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert ex._pool is None, "legacy mode must not retain a pool"
-    finally:
-        ex.close()
-
-
 def test_process_worker_cache_seeded_from_snapshot():
     """attach_index_cache ships a snapshot; workers see the seeded entries."""
     from repro.ann import BruteForceIndex
